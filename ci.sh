@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: release build, full test suite, strict clippy.
+# Tier-1 verification gate: release build, the whole workspace's tests, strict
+# workspace-wide clippy.
 # Run from the repository root. Requires no network access (the workspace
 # has zero external dependencies; see README.md "Offline builds").
 set -euo pipefail
@@ -8,11 +9,11 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+cargo test -q --workspace
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulator's hot paths: set-associative lookup,
-//! LI pack/unpack, workload generation, and single-access protocol latencies
-//! for each system. Runs on the in-tree wall-clock harness
+//! LI pack/unpack, RNG draws, workload generation, and single-access
+//! protocol latencies for each system. Runs on the in-tree wall-clock harness
 //! ([`d2m_bench::timing`]); `harness = false` in `Cargo.toml`.
 
 use std::hint::black_box;
@@ -8,7 +8,7 @@ use std::hint::black_box;
 use d2m_bench::timing::bench;
 use d2m_cache::SetAssoc;
 use d2m_common::addr::{Asid, NodeId, VAddr};
-use d2m_common::MachineConfig;
+use d2m_common::{MachineConfig, SimRng};
 use d2m_core::{Li, LiEncoding};
 use d2m_sim::{AnySystem, SystemKind};
 use d2m_workloads::{catalog, Access, AccessKind, TraceGen};
@@ -39,6 +39,17 @@ fn bench_li() {
         i = (i + 1) & 63;
         let li = Li::unpack(i, LiEncoding::NearSide);
         black_box(li.pack(LiEncoding::NearSide).ok());
+    });
+}
+
+fn bench_rng() {
+    let mut rng = SimRng::from_label(1, "bench");
+    bench("rng/next_u64", || {
+        black_box(rng.next_u64());
+    });
+    // `TraceGen`'s hot-set draw for private data uses s = 0.6.
+    bench("rng/zipf_s0.6", || {
+        black_box(rng.zipf(black_box(4096), 0.6));
     });
 }
 
@@ -75,6 +86,7 @@ fn bench_single_access() {
 fn main() {
     bench_set_assoc();
     bench_li();
+    bench_rng();
     bench_tracegen();
     bench_single_access();
 }

@@ -14,86 +14,94 @@
 /// Number of ChaCha double-rounds (12 rounds total).
 const DOUBLE_ROUNDS: usize = 6;
 
-/// The ChaCha block function: 16 input words -> 64 output bytes.
+/// Blocks computed per keystream refill, one per SIMD lane.
+const LANES: usize = 8;
+
+/// Bytes of keystream per refill: `LANES` consecutive 64-byte blocks.
+const BUF_BYTES: usize = 64 * LANES;
+
+/// Eight ChaCha states side by side: `x[w][k]` is word `w` of lane `k`.
+type Lanes = [[u32; LANES]; 16];
+
+/// Eight-lane ChaCha12: writes blocks `c, c+1, …, c+7` of the keystream to
+/// `out` in order, where `c` is the 64-bit block counter in words 12/13 of
+/// `input` (wrapping at 2^64, like the one-block function advanced by 1).
 ///
-/// On x86-64 this dispatches to the SSE2 row-parallel implementation (SSE2
-/// is part of the x86-64 baseline); everywhere else the portable scalar
-/// version runs. Both produce bit-identical keystreams — asserted by a test
-/// that runs the scalar reference against the dispatched version.
-fn chacha12_block(input: &[u32; 16], out: &mut [u8; 64]) {
+/// Each lane runs the plain scalar block function on its own counter; the
+/// word-major layout lets every `wrapping_add` / `^` / `rotate_left` of a
+/// quarter-round act on all eight lanes at once, which the compiler turns
+/// into 256-bit vector ops when AVX2 is enabled.
+///
+/// On x86-64 the same body is compiled twice — for AVX2, selected at run
+/// time, and for the baseline target — and both produce the same bytes.
+fn chacha12_blocks(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     #[cfg(target_arch = "x86_64")]
-    chacha12_block_sse2(input, out);
-    #[cfg(not(target_arch = "x86_64"))]
-    chacha12_block_scalar(input, out);
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked just above; that
+        // is the only requirement of the `target_feature` function.
+        unsafe { chacha12_blocks_avx2(input, out) };
+        return;
+    }
+    chacha12_blocks_lanes(input, out);
 }
 
-/// Row-parallel ChaCha12: each 128-bit register holds one 4-word row, so a
-/// quarter-round runs on all four columns at once; the diagonal rounds lane-
-/// rotate rows 1–3 before and after the same quarter-round. Wrapping adds,
-/// xors and rotates are exact on every lane, so the keystream matches the
-/// scalar version bit for bit.
 #[cfg(target_arch = "x86_64")]
-fn chacha12_block_sse2(input: &[u32; 16], out: &mut [u8; 64]) {
-    use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_loadu_si128, _mm_or_si128, _mm_shuffle_epi32, _mm_slli_epi32,
-        _mm_srli_epi32, _mm_storeu_si128, _mm_xor_si128,
-    };
+#[target_feature(enable = "avx2")]
+fn chacha12_blocks_avx2(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
+    chacha12_blocks_lanes(input, out);
+}
 
-    // SAFETY: SSE2 is unconditionally available on x86-64. Loads and stores
-    // are the unaligned variants over exactly the 64 bytes of `input`/`out`.
-    unsafe {
-        macro_rules! rotl {
-            ($x:expr, $n:literal) => {
-                _mm_or_si128(_mm_slli_epi32($x, $n), _mm_srli_epi32($x, 32 - $n))
-            };
+#[inline(always)]
+fn chacha12_blocks_lanes(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
+    #[inline(always)]
+    fn add(a: [u32; LANES], b: [u32; LANES]) -> [u32; LANES] {
+        std::array::from_fn(|k| a[k].wrapping_add(b[k]))
+    }
+    #[inline(always)]
+    fn xor_rotl(a: [u32; LANES], b: [u32; LANES], n: u32) -> [u32; LANES] {
+        std::array::from_fn(|k| (a[k] ^ b[k]).rotate_left(n))
+    }
+    #[inline(always)]
+    fn qr(x: &mut Lanes, a: usize, b: usize, c: usize, d: usize) {
+        let (mut va, mut vb, mut vc, mut vd) = (x[a], x[b], x[c], x[d]);
+        va = add(va, vb);
+        vd = xor_rotl(vd, va, 16);
+        vc = add(vc, vd);
+        vb = xor_rotl(vb, vc, 12);
+        va = add(va, vb);
+        vd = xor_rotl(vd, va, 8);
+        vc = add(vc, vd);
+        vb = xor_rotl(vb, vc, 7);
+        (x[a], x[b], x[c], x[d]) = (va, vb, vc, vd);
+    }
+    let mut init: Lanes = input.map(|w| [w; LANES]);
+    let counter = u64::from(input[12]) | (u64::from(input[13]) << 32);
+    let lane_counter = |k: usize| counter.wrapping_add(k as u64);
+    init[12] = std::array::from_fn(|k| lane_counter(k) as u32);
+    init[13] = std::array::from_fn(|k| (lane_counter(k) >> 32) as u32);
+    let mut x = init;
+    for _ in 0..DOUBLE_ROUNDS {
+        // Column round.
+        qr(&mut x, 0, 4, 8, 12);
+        qr(&mut x, 1, 5, 9, 13);
+        qr(&mut x, 2, 6, 10, 14);
+        qr(&mut x, 3, 7, 11, 15);
+        // Diagonal round.
+        qr(&mut x, 0, 5, 10, 15);
+        qr(&mut x, 1, 6, 11, 12);
+        qr(&mut x, 2, 7, 8, 13);
+        qr(&mut x, 3, 4, 9, 14);
+    }
+    for (k, block) in out.chunks_exact_mut(64).enumerate() {
+        for (w, bytes) in block.chunks_exact_mut(4).enumerate() {
+            bytes.copy_from_slice(&x[w][k].wrapping_add(init[w][k]).to_le_bytes());
         }
-        macro_rules! qround {
-            ($a:ident, $b:ident, $c:ident, $d:ident) => {
-                $a = _mm_add_epi32($a, $b);
-                $d = rotl!(_mm_xor_si128($d, $a), 16);
-                $c = _mm_add_epi32($c, $d);
-                $b = rotl!(_mm_xor_si128($b, $c), 12);
-                $a = _mm_add_epi32($a, $b);
-                $d = rotl!(_mm_xor_si128($d, $a), 8);
-                $c = _mm_add_epi32($c, $d);
-                $b = rotl!(_mm_xor_si128($b, $c), 7);
-            };
-        }
-
-        let p = input.as_ptr().cast::<__m128i>();
-        let mut a = _mm_loadu_si128(p);
-        let mut b = _mm_loadu_si128(p.add(1));
-        let mut c = _mm_loadu_si128(p.add(2));
-        let mut d = _mm_loadu_si128(p.add(3));
-        let (a0, b0, c0, d0) = (a, b, c, d);
-
-        for _ in 0..DOUBLE_ROUNDS {
-            // Column round: rows already line the columns up lane-wise.
-            qround!(a, b, c, d);
-            // Diagonalize: lane-rotate row 1 by one, row 2 by two, row 3 by
-            // three, so lane l holds diagonal (l, 4+(l+1)%4, 8+(l+2)%4,
-            // 12+(l+3)%4).
-            b = _mm_shuffle_epi32(b, 0b00_11_10_01);
-            c = _mm_shuffle_epi32(c, 0b01_00_11_10);
-            d = _mm_shuffle_epi32(d, 0b10_01_00_11);
-            qround!(a, b, c, d);
-            // Undiagonalize (inverse rotations).
-            b = _mm_shuffle_epi32(b, 0b10_01_00_11);
-            c = _mm_shuffle_epi32(c, 0b01_00_11_10);
-            d = _mm_shuffle_epi32(d, 0b00_11_10_01);
-        }
-
-        let q = out.as_mut_ptr().cast::<__m128i>();
-        _mm_storeu_si128(q, _mm_add_epi32(a, a0));
-        _mm_storeu_si128(q.add(1), _mm_add_epi32(b, b0));
-        _mm_storeu_si128(q.add(2), _mm_add_epi32(c, c0));
-        _mm_storeu_si128(q.add(3), _mm_add_epi32(d, d0));
     }
 }
 
-/// Portable scalar ChaCha12 — the reference the SIMD path is tested against,
-/// and the implementation used on non-x86-64 targets.
-#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+/// Portable one-block ChaCha12: the reference the eight-lane kernel and
+/// [`SimRng`]'s stream are tested against.
+#[cfg(test)]
 fn chacha12_block_scalar(input: &[u32; 16], out: &mut [u8; 64]) {
     #[inline(always)]
     fn qr(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -138,9 +146,12 @@ fn chacha12_block_scalar(input: &[u32; 16], out: &mut [u8; 64]) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SimRng {
+    /// ChaCha input; words 12/13 hold the counter of the next unbuffered
+    /// block.
     state: [u32; 16],
-    buf: [u8; 64],
-    /// Next unread byte in `buf`; 64 means the buffer is exhausted.
+    /// Eight consecutive keystream blocks.
+    buf: [u8; BUF_BYTES],
+    /// Next unread byte in `buf`; `BUF_BYTES` means the buffer is exhausted.
     pos: usize,
     /// Memoized Zipf normalizers (see [`SimRng::zipf`]). Inline and
     /// fixed-size so cloning an rng never allocates.
@@ -150,13 +161,15 @@ pub struct SimRng {
 }
 
 /// One memoized Zipf normalizer: the `(n, s)` pair (with `s` compared
-/// bit-exactly) and the harmonic normalizer computed from it. `n == 0`
-/// marks an unused slot — `zipf` never caches `n < 2`.
+/// bit-exactly), the harmonic normalizer computed from it and the inverse
+/// exponent `1 / (1 - s)`. `n == 0` marks an unused slot — `zipf` never
+/// caches `n < 2`.
 #[derive(Clone, Copy, Debug)]
 struct ZipfNorm {
     n: u64,
     s_bits: u64,
     hn: f64,
+    inv_e: f64,
 }
 
 const ZIPF_CACHE_SLOTS: usize = 8;
@@ -165,6 +178,7 @@ const ZIPF_NORM_EMPTY: ZipfNorm = ZipfNorm {
     n: 0,
     s_bits: 0,
     hn: 0.0,
+    inv_e: 0.0,
 };
 
 impl SimRng {
@@ -182,8 +196,8 @@ impl SimRng {
         // Words 12..16: 64-bit block counter + 64-bit nonce, all zero.
         Self {
             state,
-            buf: [0; 64],
-            pos: 64,
+            buf: [0; BUF_BYTES],
+            pos: BUF_BYTES,
             zipf_cache: [ZIPF_NORM_EMPTY; ZIPF_CACHE_SLOTS],
             zipf_next: 0,
         }
@@ -217,35 +231,48 @@ impl SimRng {
         Self::from_label(self.next_u64(), label)
     }
 
+    /// Computes the next eight blocks and advances the 64-bit block
+    /// counter (words 12/13) past them.
     fn refill(&mut self) {
-        chacha12_block(&self.state, &mut self.buf);
-        // Advance the 64-bit block counter (words 12/13).
-        let (lo, carry) = self.state[12].overflowing_add(1);
-        self.state[12] = lo;
-        if carry {
-            self.state[13] = self.state[13].wrapping_add(1);
-        }
+        chacha12_blocks(&self.state, &mut self.buf);
+        let counter = u64::from(self.state[12]) | (u64::from(self.state[13]) << 32);
+        let counter = counter.wrapping_add(LANES as u64);
+        self.state[12] = counter as u32;
+        self.state[13] = (counter >> 32) as u32;
         self.pos = 0;
     }
 
     /// Next 32 uniformly random bits.
+    ///
+    /// A word never spans two 64-byte blocks: when fewer than 4 bytes of
+    /// the current block are left (only after an odd-length
+    /// [`fill_bytes`](Self::fill_bytes)), they are skipped, as the
+    /// one-block generator this stream is pinned to did.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        if self.pos + 4 > 64 {
-            self.refill();
+        let mut pos = self.pos;
+        if pos % 64 > 60 {
+            pos = (pos | 63) + 1;
         }
-        let v = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        self.pos += 4;
+        if pos + 4 > BUF_BYTES {
+            self.refill();
+            pos = 0;
+        }
+        let v = u32::from_le_bytes(self.buf[pos..pos + 4].try_into().expect("4 bytes"));
+        self.pos = pos + 4;
         v
     }
 
-    /// Next 64 uniformly random bits.
+    /// Next 64 uniformly random bits: the low word first, then the high.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        let pos = self.pos;
+        // At a word-aligned position both words are the next 8 buffered
+        // bytes, even across a block boundary (offset 60).
+        if pos.is_multiple_of(4) && pos + 8 <= BUF_BYTES {
+            self.pos = pos + 8;
+            return u64::from_le_bytes(self.buf[pos..pos + 8].try_into().expect("8 bytes"));
+        }
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
@@ -254,7 +281,7 @@ impl SimRng {
     /// Fills `dest` with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for b in dest {
-            if self.pos >= 64 {
+            if self.pos >= BUF_BYTES {
                 self.refill();
             }
             *b = self.buf[self.pos];
@@ -316,12 +343,12 @@ impl SimRng {
         // approach): good enough for locality shaping, cheap, deterministic.
         let u = self.unit().max(1e-12);
         if (s - 1.0).abs() < 1e-9 {
-            let hn = self.zipf_norm(n, 1.0, |n, _| (n as f64).ln());
+            let hn = self.zipf_norm(n, 1.0, |n, _| (n as f64).ln()).hn;
             return ((u * hn).exp() - 1.0).min(n as f64 - 1.0) as u64;
         }
         let e = 1.0 - s;
-        let hn = self.zipf_norm(n, s, |n, s| ((n as f64).powf(1.0 - s) - 1.0) / (1.0 - s));
-        let x = (1.0 + u * hn * e).powf(1.0 / e) - 1.0;
+        let norm = self.zipf_norm(n, s, |n, s| ((n as f64).powf(1.0 - s) - 1.0) / (1.0 - s));
+        let x = (1.0 + u * norm.hn * e).powf(norm.inv_e) - 1.0;
         (x.min(n as f64 - 1.0)) as u64
     }
 
@@ -331,18 +358,24 @@ impl SimRng {
     /// sample from a handful of fixed `(n, s)` pairs, which otherwise pay a
     /// second `powf` on every draw (a top profile entry). `s` is compared
     /// bit-exactly; the `s ≈ 1` branch passes a canonical `1.0` because its
-    /// normalizer only depends on `n`.
-    fn zipf_norm(&mut self, n: u64, s: f64, compute: impl Fn(u64, f64) -> f64) -> f64 {
+    /// normalizer only depends on `n` (and it ignores the infinite
+    /// `inv_e`).
+    fn zipf_norm(&mut self, n: u64, s: f64, compute: impl Fn(u64, f64) -> f64) -> ZipfNorm {
         let s_bits = s.to_bits();
         for e in &self.zipf_cache {
             if e.n == n && e.s_bits == s_bits {
-                return e.hn;
+                return *e;
             }
         }
-        let hn = compute(n, s);
-        self.zipf_cache[self.zipf_next] = ZipfNorm { n, s_bits, hn };
+        let norm = ZipfNorm {
+            n,
+            s_bits,
+            hn: compute(n, s),
+            inv_e: 1.0 / (1.0 - s),
+        };
+        self.zipf_cache[self.zipf_next] = norm;
         self.zipf_next = (self.zipf_next + 1) % ZIPF_CACHE_SLOTS;
-        hn
+        norm
     }
 }
 
@@ -413,21 +446,214 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_block_matches_scalar_reference() {
-        // The SIMD path must be a bit-identical drop-in: run both on a
-        // spread of inputs, including counter values that exercise carries.
+    fn eight_lane_kernel_matches_scalar_reference() {
+        // Both builds of the eight-lane body (the dispatched one and the
+        // baseline-target one) must emit exactly the eight scalar blocks
+        // `c..c+8`, including counters whose low word carries into word 13
+        // and counters that wrap at 2^64 inside one call.
         let mut state = [0u32; 16];
         for trial in 0u32..64 {
             for (i, w) in state.iter_mut().enumerate() {
                 *w = (trial.wrapping_mul(0x9e37_79b9))
                     .wrapping_add((i as u32).wrapping_mul(0x85eb_ca6b));
             }
-            state[12] = u32::MAX - (trial % 3);
-            let mut got = [0u8; 64];
-            let mut want = [0u8; 64];
-            chacha12_block(&state, &mut got);
-            chacha12_block_scalar(&state, &mut want);
-            assert_eq!(got, want, "keystream diverged on trial {trial}");
+            state[12] = u32::MAX - (trial % 11);
+            if trial % 2 == 0 {
+                state[13] = u32::MAX;
+            }
+            let mut want = [0u8; BUF_BYTES];
+            OneBlockRng::new(state).fill_bytes(&mut want);
+            let mut dispatched = [0u8; BUF_BYTES];
+            let mut portable = [0u8; BUF_BYTES];
+            chacha12_blocks(&state, &mut dispatched);
+            chacha12_blocks_lanes(&state, &mut portable);
+            assert_eq!(
+                dispatched, want,
+                "dispatched kernel diverged on trial {trial}"
+            );
+            assert_eq!(portable, want, "portable kernel diverged on trial {trial}");
+        }
+    }
+
+    /// The one-block generator [`SimRng`]'s stream is pinned to: one scalar
+    /// ChaCha12 block per refill, counter +1, and a `next_u32` that drops
+    /// the last 1–3 bytes of a block rather than span two blocks.
+    struct OneBlockRng {
+        state: [u32; 16],
+        buf: [u8; 64],
+        pos: usize,
+    }
+
+    impl OneBlockRng {
+        fn new(state: [u32; 16]) -> Self {
+            Self {
+                state,
+                buf: [0; 64],
+                pos: 64,
+            }
+        }
+
+        fn refill(&mut self) {
+            chacha12_block_scalar(&self.state, &mut self.buf);
+            let (lo, carry) = self.state[12].overflowing_add(1);
+            self.state[12] = lo;
+            if carry {
+                self.state[13] = self.state[13].wrapping_add(1);
+            }
+            self.pos = 0;
+        }
+
+        fn next_u32(&mut self) -> u32 {
+            if self.pos + 4 > 64 {
+                self.refill();
+            }
+            let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap());
+            self.pos += 4;
+            v
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let lo = self.next_u32() as u64;
+            let hi = self.next_u32() as u64;
+            lo | (hi << 32)
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for b in dest {
+                if self.pos >= 64 {
+                    self.refill();
+                }
+                *b = self.buf[self.pos];
+                self.pos += 1;
+            }
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            let mut x = self.next_u64();
+            let mut m = (x as u128) * (bound as u128);
+            let mut lo = m as u64;
+            if lo < bound {
+                let threshold = bound.wrapping_neg() % bound;
+                while lo < threshold {
+                    x = self.next_u64();
+                    m = (x as u128) * (bound as u128);
+                    lo = m as u64;
+                }
+            }
+            (m >> 64) as u64
+        }
+
+        /// Uncached closed form of [`SimRng::zipf`].
+        fn zipf(&mut self, n: u64, s: f64) -> u64 {
+            if n == 1 {
+                return 0;
+            }
+            let u = ((self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(1e-12);
+            if (s - 1.0).abs() < 1e-9 {
+                let hn = (n as f64).ln();
+                return ((u * hn).exp() - 1.0).min(n as f64 - 1.0) as u64;
+            }
+            let e = 1.0 - s;
+            let hn = ((n as f64).powf(e) - 1.0) / e;
+            (((1.0 + u * hn * e).powf(1.0 / e) - 1.0).min(n as f64 - 1.0)) as u64
+        }
+    }
+
+    /// A fresh `SimRng` and its one-block reference, both starting at block
+    /// counter `counter`.
+    fn twin(seed: u64, counter: u64) -> (SimRng, OneBlockRng) {
+        let mut rng = SimRng::from_label(seed, "stream-equivalence");
+        rng.state[12] = counter as u32;
+        rng.state[13] = (counter >> 32) as u32;
+        let reference = OneBlockRng::new(rng.state);
+        (rng, reference)
+    }
+
+    /// Counters that start mid-stream, carry from word 12 into word 13
+    /// within the first refill, or wrap at 2^64 within it.
+    const COUNTERS: [u64; 5] = [
+        0,
+        1000,
+        u32::MAX as u64 - 5,
+        (7u64 << 32) | (u32::MAX as u64 - 2),
+        u64::MAX - 4,
+    ];
+
+    #[test]
+    fn stream_matches_one_block_reference_under_random_interleavings() {
+        for (case, &counter) in COUNTERS.iter().enumerate() {
+            for seed in 0..6u64 {
+                let (mut rng, mut reference) = twin(seed, counter);
+                let mut ops = SimRng::from_label(seed, &format!("ops-{case}"));
+                for step in 0..2000 {
+                    let what = format!("case {case}, seed {seed}, step {step}");
+                    match ops.below(5) {
+                        0 => assert_eq!(rng.next_u32(), reference.next_u32(), "next_u32 at {what}"),
+                        1 => assert_eq!(rng.next_u64(), reference.next_u64(), "next_u64 at {what}"),
+                        2 => {
+                            // Bounds just above 2^63 reject about half the
+                            // draws, so multi-draw rejection loops occur.
+                            let bound = match ops.below(3) {
+                                0 => 1 + ops.below(100),
+                                1 => (1 << 63) + 1 + ops.below(1 << 20),
+                                _ => 1 + ops.next_u64() / 2,
+                            };
+                            assert_eq!(rng.below(bound), reference.below(bound), "below at {what}");
+                        }
+                        3 => {
+                            let n = 1 + ops.below(5000);
+                            let s = [0.45, 0.6, 1.0, 1.15, 1.5][ops.below(5) as usize];
+                            assert_eq!(rng.zipf(n, s), reference.zipf(n, s), "zipf at {what}");
+                        }
+                        _ => {
+                            // Mostly odd lengths, to leave unaligned
+                            // positions; some long enough to span a refill.
+                            let len = if ops.below(8) == 0 {
+                                ops.below(1100) as usize
+                            } else {
+                                2 * ops.below(40) as usize + 1
+                            };
+                            let mut got = vec![0u8; len];
+                            let mut want = vec![0u8; len];
+                            rng.fill_bytes(&mut got);
+                            reference.fill_bytes(&mut want);
+                            assert_eq!(got, want, "fill_bytes({len}) at {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stream_matches_one_block_reference_at_every_offset() {
+        // Advance to every byte position of the first 17 blocks — every
+        // offset of a 64-byte block, both sides of the 512-byte refill and
+        // of the block counter's carry or wrap — then draw a fixed mix.
+        for counter in COUNTERS {
+            for skip in 0..17 * 64 {
+                let (mut rng, mut reference) = twin(3, counter);
+                let mut got = vec![0u8; skip];
+                let mut want = vec![0u8; skip];
+                rng.fill_bytes(&mut got);
+                reference.fill_bytes(&mut want);
+                assert_eq!(got, want, "skip {skip}, counter {counter:#x}");
+                for round in 0..3 {
+                    let what = format!("skip {skip}, round {round}, counter {counter:#x}");
+                    assert_eq!(rng.next_u32(), reference.next_u32(), "next_u32, {what}");
+                    assert_eq!(rng.next_u64(), reference.next_u64(), "next_u64, {what}");
+                    let mut a = [0u8; 3];
+                    let mut b = [0u8; 3];
+                    rng.fill_bytes(&mut a);
+                    reference.fill_bytes(&mut b);
+                    assert_eq!(a, b, "fill_bytes(3), {what}");
+                    assert_eq!(
+                        rng.next_u64(),
+                        reference.next_u64(),
+                        "unaligned next_u64, {what}"
+                    );
+                }
+            }
         }
     }
 

@@ -60,6 +60,17 @@ const CHUNK_LINES: u64 = 64;
 /// Lines per metadata region.
 const REGION_LINES: u64 = 16;
 
+/// `x % n`, skipping the division when `x` is already in range (the common
+/// case on the generator's wrap-around paths).
+#[inline]
+fn wrap(x: u64, n: u64) -> u64 {
+    if x < n {
+        x
+    } else {
+        x % n
+    }
+}
+
 #[derive(Clone, Debug)]
 struct NodeGen {
     rng: SimRng,
@@ -136,6 +147,10 @@ impl TraceGen {
         let epoch = self.epoch();
         let spec = &self.spec;
         let node_count = self.nodes.len();
+        let base_insts = spec.insts_per_fetch.floor() as u64;
+        let frac = spec.insts_per_fetch - base_insts as f64;
+        // Probability of a warm access given that it is not hot.
+        let p_warm_not_hot = spec.p_warm / (1.0 - spec.p_hot).max(1e-9);
         let mut insts_total = 0u64;
         for (n, st) in self.nodes.iter_mut().enumerate() {
             let node = NodeId::new(n as u8);
@@ -146,8 +161,6 @@ impl TraceGen {
             };
 
             // --- instruction fetch ---
-            let base_insts = spec.insts_per_fetch.floor() as u64;
-            let frac = spec.insts_per_fetch - base_insts as f64;
             let insts = base_insts + u64::from(st.rng.chance(frac));
             insts_total += insts;
             if st.rng.chance(spec.jump_prob) {
@@ -161,7 +174,7 @@ impl TraceGen {
                     (r * REGION_LINES + st.rng.below(REGION_LINES)) % spec.code_lines
                 };
             } else {
-                st.pc = (st.pc + 1) % spec.code_lines;
+                st.pc = wrap(st.pc + 1, spec.code_lines);
             }
             out.push(Access {
                 node,
@@ -180,7 +193,7 @@ impl TraceGen {
                 let access = if spec.shared_frac > 0.0 && st.rng.chance(spec.shared_frac) {
                     Self::shared_access(spec, st, node, asid, epoch, node_count)
                 } else {
-                    Self::private_access(spec, st, node, asid, n)
+                    Self::private_access(spec, st, node, asid, n, p_warm_not_hot)
                 };
                 out.push(access);
             }
@@ -196,12 +209,13 @@ impl TraceGen {
         node: NodeId,
         asid: Asid,
         n: usize,
+        p_warm_not_hot: f64,
     ) -> Access {
         let line = if spec.stride_frac > 0.0 && st.rng.chance(spec.stride_frac) {
             // Streaming kernels touch several elements per 64 B line before
             // the scan advances (dwell ≈ 6 accesses/line).
             if st.scan_dwell == 0 {
-                st.scan_pos = (st.scan_pos + spec.stride_lines) % spec.private_lines;
+                st.scan_pos = wrap(st.scan_pos + spec.stride_lines, spec.private_lines);
                 st.scan_dwell = 5;
             } else {
                 st.scan_dwell -= 1;
@@ -209,18 +223,21 @@ impl TraceGen {
             st.scan_pos
         } else if st.rng.chance(spec.p_hot) {
             st.rng.zipf(spec.hot_lines, 0.6)
-        } else if st.rng.chance(spec.p_warm / (1.0 - spec.p_hot).max(1e-9)) {
+        } else if st.rng.chance(p_warm_not_hot) {
             // Warm: region-granular (spatial locality inside 1 KB regions).
             let region = st.rng.zipf(spec.warm_regions, 0.45);
             let line = spec.hot_lines + region * REGION_LINES + st.rng.below(REGION_LINES);
-            line % spec.private_lines
+            wrap(line, spec.private_lines)
         } else {
             // Cold: uniform over the whole footprint, in short region bursts
             // (page-level spatial locality survives even in cold tails).
             if st.rng.chance(0.25) {
                 st.cold_region = st.rng.below((spec.private_lines / REGION_LINES).max(1));
             }
-            (st.cold_region * REGION_LINES + st.rng.below(REGION_LINES)) % spec.private_lines
+            wrap(
+                st.cold_region * REGION_LINES + st.rng.below(REGION_LINES),
+                spec.private_lines,
+            )
         };
         let base = PRIVATE_BASE + n as u64 * PRIVATE_STRIDE;
         let kind = if st.rng.chance(spec.write_frac) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: release build, the whole workspace's tests, strict
-# workspace-wide clippy.
+# workspace-wide clippy, the benchmark's own tests.
 # Run from the repository root. Requires no network access (the workspace
 # has zero external dependencies; see README.md "Offline builds").
 set -euo pipefail
@@ -17,6 +17,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== perfbench tests (the benchmark still builds and passes its own checks) =="
+# perfbench is a separate workspace built against the simulator crates by
+# path, so a change to those crates that breaks the benchmark fails here.
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "== throughput harness (smoke) =="
 # The binary panics (non-zero exit) on any protocol error or schema

@@ -15,7 +15,7 @@
 //! counted, as Table V does). Every load is validated against the
 //! [`VersionOracle`] when `check_coherence` is on.
 
-use d2m_cache::{SetAssoc, Tlb};
+use d2m_cache::{Banked, Tlb};
 use d2m_common::addr::{LineAddr, NodeId};
 use d2m_common::config::MachineConfig;
 use d2m_common::oracle::VersionOracle;
@@ -75,19 +75,32 @@ struct LlcLine {
     sharers: u8,
 }
 
-struct BaseNode {
-    tlb: Tlb,
-    l1i: SetAssoc<PrivLine>,
-    l1d: SetAssoc<PrivLine>,
-    l2: Option<SetAssoc<PrivLine>>,
+/// Folds `pl` into the freshest `(version, was_modified)` copy seen so far;
+/// on a version tie the copy seen first wins.
+fn fresher(best: Option<(u64, bool)>, pl: &PrivLine) -> Option<(u64, bool)> {
+    match best {
+        Some((v, _)) if pl.version <= v => best,
+        _ => Some((pl.version, pl.state == Mesi::Modified)),
+    }
 }
 
 /// A Base-2L or Base-3L system (see crate docs).
+///
+/// Like `D2mSystem`, every per-node structure is one [`Banked`] arena with a
+/// bank per node, and the shared LLC is a one-bank arena.
 pub struct Baseline {
     kind: BaselineKind,
     cfg: MachineConfig,
-    nodes: Vec<BaseNode>,
-    llc: SetAssoc<LlcLine>,
+    /// TLB1s: one bank per node.
+    tlb: Tlb,
+    /// L1 instruction caches: one bank per node.
+    l1i: Banked<PrivLine>,
+    /// L1 data caches: one bank per node.
+    l1d: Banked<PrivLine>,
+    /// Base-3L's inclusive private L2s: one bank per node.
+    l2: Option<Banked<PrivLine>>,
+    /// Shared LLC with embedded directory: a single bank (index 0).
+    llc: Banked<LlcLine>,
     noc: Noc,
     energy: EnergyAccount,
     oracle: VersionOracle,
@@ -102,22 +115,20 @@ impl Baseline {
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: &MachineConfig, kind: BaselineKind) -> Self {
         cfg.validate().expect("invalid machine config");
-        let nodes = (0..cfg.nodes)
-            .map(|_| BaseNode {
-                tlb: Tlb::new(cfg.tlb.sets, cfg.tlb.ways),
-                l1i: SetAssoc::new(cfg.l1i.sets, cfg.l1i.ways),
-                l1d: SetAssoc::new(cfg.l1d.sets, cfg.l1d.ways),
-                l2: match kind {
-                    BaselineKind::TwoLevel => None,
-                    BaselineKind::ThreeLevel => Some(SetAssoc::new(cfg.l2.sets, cfg.l2.ways)),
-                },
-            })
-            .collect();
+        let n = cfg.nodes;
+        // Allocated before the per-node arenas, as `D2mSystem` allocates its
+        // LLC: built after them, the 1.25 MB Base-3L L2 arena raised a
+        // sweep's peak RSS by about 2 MB (glibc, 2 sweep workers).
+        let llc = Banked::new(1, cfg.llc.sets, cfg.llc.ways);
         Self {
             kind,
             cfg: cfg.clone(),
-            nodes,
-            llc: SetAssoc::new(cfg.llc.sets, cfg.llc.ways),
+            tlb: Tlb::new(n, cfg.tlb.sets, cfg.tlb.ways),
+            l1i: Banked::new(n, cfg.l1i.sets, cfg.l1i.ways),
+            l1d: Banked::new(n, cfg.l1d.sets, cfg.l1d.ways),
+            l2: (kind == BaselineKind::ThreeLevel)
+                .then(|| Banked::new(n, cfg.l2.sets, cfg.l2.ways)),
+            llc,
             noc: Noc::new(cfg.lat.noc),
             energy: EnergyAccount::new(EnergyModel::default()),
             oracle: VersionOracle::new(),
@@ -252,7 +263,7 @@ impl Baseline {
 
         // 1. TLB
         self.energy.record(EnergyEvent::Tlb, 1);
-        let (paddr, tlb_hit) = self.nodes[n].tlb.access(a.asid, a.vaddr);
+        let (paddr, tlb_hit) = self.tlb.access(n, a.asid, a.vaddr);
         let mut latency = self.cfg.lat.l1;
         if !tlb_hit {
             latency += self.cfg.lat.tlb_walk;
@@ -262,15 +273,11 @@ impl Baseline {
 
         // 2. L1 lookup (perfect way prediction: one tag comparison).
         self.energy.record(EnergyEvent::L1TagWay, 1);
-        let l1 = if is_i {
-            &mut self.nodes[n].l1i
-        } else {
-            &mut self.nodes[n].l1d
-        };
+        let l1 = if is_i { &mut self.l1i } else { &mut self.l1d };
         let set = l1.set_index(key);
-        if let Some(way) = l1.way_of(set, key) {
-            let pl = *l1.at(set, way).map(|(_, v)| v).expect("occupied");
-            l1.touch(set, way);
+        if let Some(way) = l1.way_of(n, set, key) {
+            let pl = *l1.at(n, set, way).map(|(_, v)| v).expect("occupied");
+            l1.touch(n, set, way);
             self.energy.record(EnergyEvent::L1Array, 1);
             let mut late = false;
             if now < pl.ready_at {
@@ -292,26 +299,24 @@ impl Baseline {
                     Mesi::Modified => {}
                     Mesi::Exclusive => {
                         // Silent E→M upgrade (MESI).
-                        let (_, v) = self.nodes[n].l1d.at_mut(set, way).expect("occupied");
+                        let (_, v) = self.l1d.at_mut(n, set, way).expect("occupied");
                         v.state = Mesi::Modified;
                     }
                     Mesi::Shared => {
                         latency += self.upgrade_shared(n, line);
-                        let l1 = &mut self.nodes[n].l1d;
-                        let (_, v) = l1.at_mut(set, way).expect("occupied");
+                        let (_, v) = self.l1d.at_mut(n, set, way).expect("occupied");
                         v.state = Mesi::Modified;
                     }
                 }
                 let ver = self.oracle.on_store(line);
-                let l1 = &mut self.nodes[n].l1d;
-                let (_, v) = l1.at_mut(set, way).expect("occupied");
+                let (_, v) = self.l1d.at_mut(n, set, way).expect("occupied");
                 v.version = ver;
-                if let Some(l2) = &mut self.nodes[n].l2 {
+                if let Some(l2) = &mut self.l2 {
                     // Keep the inclusive L2 copy's state in sync (its version
                     // catches up on L1 writeback).
                     let s2 = l2.set_index(key);
-                    if let Some(w2) = l2.way_of(s2, key) {
-                        let (_, v2) = l2.at_mut(s2, w2).expect("occupied");
+                    if let Some(w2) = l2.way_of(n, s2, key) {
+                        let (_, v2) = l2.at_mut(n, s2, w2).expect("occupied");
                         v2.state = Mesi::Modified;
                     }
                 }
@@ -341,28 +346,24 @@ impl Baseline {
         let mut serviced = None;
         let mut version = 0;
         let mut state = Mesi::Shared;
-        if self.nodes[n].l2.is_some() {
+        if let Some(l2) = &mut self.l2 {
             self.energy
                 .record(EnergyEvent::L2TagWay, self.cfg.l2.ways as u64);
-            let l2 = self.nodes[n].l2.as_mut().expect("3L");
             let s2 = l2.set_index(key);
-            if let Some(w2) = l2.way_of(s2, key) {
+            if let Some(w2) = l2.way_of(n, s2, key) {
                 latency += self.cfg.lat.l2;
                 self.energy.record(EnergyEvent::L2Array, 1);
-                let pl2 = *l2.at(s2, w2).map(|(_, v)| v).expect("occupied");
-                l2.touch(s2, w2);
+                let pl2 = *l2.at(n, s2, w2).map(|(_, v)| v).expect("occupied");
+                l2.touch(n, s2, w2);
                 self.ctr.l2_hits += 1;
                 version = pl2.version;
                 state = pl2.state;
-                if is_store && pl2.state == Mesi::Shared {
-                    latency += self.upgrade_shared(n, line);
-                    let l2 = self.nodes[n].l2.as_mut().expect("3L");
-                    let (_, v2) = l2.at_mut(s2, w2).expect("occupied");
-                    v2.state = Mesi::Modified;
-                    state = Mesi::Modified;
-                } else if is_store {
-                    let l2 = self.nodes[n].l2.as_mut().expect("3L");
-                    let (_, v2) = l2.at_mut(s2, w2).expect("occupied");
+                if is_store {
+                    if pl2.state == Mesi::Shared {
+                        latency += self.upgrade_shared(n, line);
+                    }
+                    let l2 = self.l2.as_mut().expect("3L");
+                    let (_, v2) = l2.at_mut(n, s2, w2).expect("occupied");
                     v2.state = Mesi::Modified;
                     state = Mesi::Modified;
                 }
@@ -380,8 +381,8 @@ impl Baseline {
             latency += lat;
             serviced = Some(sv);
             // Fill the inclusive L2 on the way in.
-            if self.nodes[n].l2.is_some() {
-                self.install_l2(n, line, state, version, now + latency);
+            if self.l2.is_some() {
+                self.install_l2(n, line, state, version);
             }
         }
 
@@ -421,7 +422,7 @@ impl Baseline {
         // Inclusion guarantees the directory entry exists.
         let entry = *self
             .llc
-            .peek(set, key)
+            .peek(0, set, key)
             .expect("inclusive LLC lost a cached line");
         let mut targets = entry.sharers & !Self::node_bit(n);
         if let Some(o) = entry.owner {
@@ -430,7 +431,7 @@ impl Baseline {
             }
         }
         lat += self.invalidate_nodes(targets, line, Some(n));
-        if let Some(e) = self.llc.get_mut(set, key) {
+        if let Some(e) = self.llc.get_mut(0, set, key) {
             e.owner = Some(n as u8);
             e.sharers = 0;
         }
@@ -468,7 +469,7 @@ impl Baseline {
                     self.ctr.writebacks += 1;
                     let key = line.raw();
                     let set = self.llc.set_index(key);
-                    if let Some(e) = self.llc.get_mut(set, key) {
+                    if let Some(e) = self.llc.get_mut(0, set, key) {
                         e.version = ver;
                         e.dirty = true;
                     }
@@ -491,27 +492,15 @@ impl Baseline {
     /// Returns `Some((version, was_modified))` of the freshest removed copy.
     fn purge_node_copies(&mut self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
         let key = line.raw();
-        let mut best: Option<(u64, bool)> = None;
-        let node = &mut self.nodes[t];
-        for arr in [&mut node.l1d, &mut node.l1i] {
+        let mut best = None;
+        for arr in [&mut self.l1d, &mut self.l1i]
+            .into_iter()
+            .chain(self.l2.as_mut())
+        {
             let s = arr.set_index(key);
-            if let Some(w) = arr.way_of(s, key) {
-                if let Some((_, pl)) = arr.remove(s, w) {
-                    let m = pl.state == Mesi::Modified;
-                    if best.is_none_or(|(v, _)| pl.version > v) {
-                        best = Some((pl.version, m));
-                    }
-                }
-            }
-        }
-        if let Some(l2) = &mut node.l2 {
-            let s = l2.set_index(key);
-            if let Some(w) = l2.way_of(s, key) {
-                if let Some((_, pl)) = l2.remove(s, w) {
-                    let m = pl.state == Mesi::Modified;
-                    if best.is_none_or(|(v, _)| pl.version > v) {
-                        best = Some((pl.version, m));
-                    }
+            if let Some(w) = arr.way_of(t, s, key) {
+                if let Some((_, pl)) = arr.remove(t, s, w) {
+                    best = fresher(best, &pl);
                 }
             }
         }
@@ -519,27 +508,24 @@ impl Baseline {
     }
 
     /// The freshest valid copy of `line` in node `t` without removing it;
-    /// downgrades all copies to Shared (read-forward path).
+    /// downgrades all copies to Shared at that freshest version (read-forward
+    /// path). Leaving an older inclusive L2 copy behind would let a later L1
+    /// miss read stale data once the S copy in L1 is dropped.
     fn downgrade_node_copies(&mut self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
+        let best = self.node_peek_version(t, line)?;
         let key = line.raw();
-        let mut best: Option<(u64, bool)> = None;
-        let node = &mut self.nodes[t];
-        for arr in [&mut node.l1d, &mut node.l1i]
+        for arr in [&mut self.l1d, &mut self.l1i]
             .into_iter()
-            .chain(node.l2.as_mut())
+            .chain(self.l2.as_mut())
         {
             let s = arr.set_index(key);
-            if let Some(w) = arr.way_of(s, key) {
-                if let Some((_, pl)) = arr.at_mut(s, w) {
-                    let m = pl.state == Mesi::Modified;
-                    if best.is_none_or(|(v, _)| pl.version > v) {
-                        best = Some((pl.version, m));
-                    }
-                    pl.state = Mesi::Shared;
-                }
+            if let Some(w) = arr.way_of(t, s, key) {
+                let (_, pl) = arr.at_mut(t, s, w).expect("occupied");
+                pl.state = Mesi::Shared;
+                pl.version = best.0;
             }
         }
-        best
+        Some(best)
     }
 
     /// The far-side transaction: directory + LLC, possibly forwarded to a
@@ -566,10 +552,10 @@ impl Baseline {
 
         let key = line.raw();
         let set = self.llc.set_index(key);
-        if let Some(entry) = self.llc.peek(set, key).copied() {
+        if let Some(entry) = self.llc.peek(0, set, key).copied() {
             // --- LLC hit ---
             self.ctr.llc_hits += 1;
-            self.llc.get(set, key); // LRU touch
+            self.llc.get(0, set, key); // LRU touch
             self.energy.record(EnergyEvent::LlcArray, 1);
             lat += self.cfg.lat.llc;
             if want_store {
@@ -599,7 +585,7 @@ impl Baseline {
                 }
                 lat += self.invalidate_nodes(targets, line, Some(n));
                 lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
-                if let Some(e) = self.llc.get_mut(set, key) {
+                if let Some(e) = self.llc.get_mut(0, set, key) {
                     e.owner = Some(n as u8);
                     e.sharers = 0;
                 }
@@ -632,7 +618,7 @@ impl Baseline {
                                 );
                                 self.ctr.writebacks += 1;
                             }
-                            if let Some(e) = self.llc.get_mut(set, key) {
+                            if let Some(e) = self.llc.get_mut(0, set, key) {
                                 e.owner = None;
                                 e.sharers |= Self::node_bit(o as usize) | Self::node_bit(n);
                                 if was_m {
@@ -650,7 +636,7 @@ impl Baseline {
                                 Endpoint::FarSide,
                             );
                             lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
-                            if let Some(e) = self.llc.get_mut(set, key) {
+                            if let Some(e) = self.llc.get_mut(0, set, key) {
                                 e.owner = None;
                                 e.sharers |= Self::node_bit(n);
                             }
@@ -665,7 +651,7 @@ impl Baseline {
                         } else {
                             Mesi::Shared
                         };
-                        if let Some(e) = self.llc.get_mut(set, key) {
+                        if let Some(e) = self.llc.get_mut(0, set, key) {
                             if state == Mesi::Exclusive {
                                 e.owner = Some(n as u8);
                                 e.sharers = 0;
@@ -684,10 +670,10 @@ impl Baseline {
             self.noc.offchip(MsgClass::MemRead);
             lat += self.cfg.lat.mem;
             let version = self.oracle.memory(line);
-            let victim_way = self.llc.victim_way(set);
-            if let Some((old_key, old)) = self.llc.at(set, victim_way).map(|(k, v)| (k, *v)) {
+            let victim_way = self.llc.victim_way(0, set);
+            if let Some((old_key, old)) = self.llc.at(0, set, victim_way).map(|(k, v)| (k, *v)) {
                 self.evict_llc_entry(LineAddr::new(old_key), old);
-                self.llc.remove(set, victim_way);
+                self.llc.remove(0, set, victim_way);
             }
             let (owner, sharers, state) = if want_store {
                 (Some(n as u8), 0, Mesi::Modified)
@@ -695,6 +681,7 @@ impl Baseline {
                 (Some(n as u8), 0, Mesi::Exclusive)
             };
             self.llc.insert_at(
+                0,
                 set,
                 victim_way,
                 key,
@@ -714,23 +701,11 @@ impl Baseline {
     /// Version of the freshest copy in node `t` (no state change).
     fn node_peek_version(&self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
         let key = line.raw();
-        let node = &self.nodes[t];
-        let mut best: Option<(u64, bool)> = None;
-        let mut check = |arr: &SetAssoc<PrivLine>| {
-            let s = arr.set_index(key);
-            if let Some(pl) = arr.peek(s, key) {
-                let m = pl.state == Mesi::Modified;
-                if best.is_none_or(|(v, _)| pl.version > v) {
-                    best = Some((pl.version, m));
-                }
-            }
-        };
-        check(&node.l1d);
-        check(&node.l1i);
-        if let Some(l2) = &node.l2 {
-            check(l2);
-        }
-        best
+        [&self.l1d, &self.l1i]
+            .into_iter()
+            .chain(self.l2.as_ref())
+            .filter_map(|arr| arr.peek(t, arr.set_index(key), key))
+            .fold(None, fresher)
     }
 
     /// Evicts one LLC entry: back-invalidates all private copies
@@ -789,15 +764,11 @@ impl Baseline {
         ready_at: u64,
     ) {
         let key = line.raw();
-        let has_l2 = self.nodes[n].l2.is_some();
-        let l1 = if is_i {
-            &mut self.nodes[n].l1i
-        } else {
-            &mut self.nodes[n].l1d
-        };
+        let l1 = if is_i { &mut self.l1i } else { &mut self.l1d };
         let set = l1.set_index(key);
-        let way = l1.victim_way(set);
+        let way = l1.victim_way(n, set);
         let evicted = l1.insert_at(
+            n,
             set,
             way,
             key,
@@ -809,7 +780,7 @@ impl Baseline {
         );
         if let Some((old_key, old)) = evicted {
             if old.state == Mesi::Modified {
-                self.writeback_from_l1(n, has_l2, LineAddr::new(old_key), old.version);
+                self.writeback_from_l1(n, LineAddr::new(old_key), old.version);
             }
             // E/S evictions are silent (directory keeps a stale superset).
         }
@@ -817,14 +788,13 @@ impl Baseline {
 
     /// Writes a dirty L1 victim back: to the L2 (Base-3L) or the LLC
     /// (Base-2L).
-    fn writeback_from_l1(&mut self, n: usize, has_l2: bool, line: LineAddr, version: u64) {
+    fn writeback_from_l1(&mut self, n: usize, line: LineAddr, version: u64) {
         self.ctr.writebacks += 1;
         let key = line.raw();
-        if has_l2 {
-            let l2 = self.nodes[n].l2.as_mut().expect("3L");
+        if let Some(l2) = &mut self.l2 {
             let s2 = l2.set_index(key);
-            if let Some(w2) = l2.way_of(s2, key) {
-                let (_, v2) = l2.at_mut(s2, w2).expect("occupied");
+            if let Some(w2) = l2.way_of(n, s2, key) {
+                let (_, v2) = l2.at_mut(n, s2, w2).expect("occupied");
                 v2.version = version;
                 v2.state = Mesi::Modified;
                 return;
@@ -839,7 +809,7 @@ impl Baseline {
             Endpoint::FarSide,
         );
         let set = self.llc.set_index(key);
-        if let Some(e) = self.llc.get_mut(set, key) {
+        if let Some(e) = self.llc.get_mut(0, set, key) {
             e.version = version;
             e.dirty = true;
             e.owner = None;
@@ -847,12 +817,13 @@ impl Baseline {
     }
 
     /// Installs a line in the inclusive private L2 (Base-3L).
-    fn install_l2(&mut self, n: usize, line: LineAddr, state: Mesi, version: u64, _ready: u64) {
+    fn install_l2(&mut self, n: usize, line: LineAddr, state: Mesi, version: u64) {
         let key = line.raw();
-        let l2 = self.nodes[n].l2.as_mut().expect("3L");
+        let l2 = self.l2.as_mut().expect("3L");
         let s2 = l2.set_index(key);
-        let w2 = l2.victim_way(s2);
+        let w2 = l2.victim_way(n, s2);
         let evicted = l2.insert_at(
+            n,
             s2,
             w2,
             key,
@@ -863,14 +834,12 @@ impl Baseline {
             },
         );
         if let Some((old_key, old)) = evicted {
-            let old_line = LineAddr::new(old_key);
             // L2 inclusion over L1: purge the L1 copy of the victim.
             let mut fresh = (old.version, old.state == Mesi::Modified);
-            let node = &mut self.nodes[n];
-            for arr in [&mut node.l1d, &mut node.l1i] {
+            for arr in [&mut self.l1d, &mut self.l1i] {
                 let s1 = arr.set_index(old_key);
-                if let Some(w1) = arr.way_of(s1, old_key) {
-                    if let Some((_, pl)) = arr.remove(s1, w1) {
+                if let Some(w1) = arr.way_of(n, s1, old_key) {
+                    if let Some((_, pl)) = arr.remove(n, s1, w1) {
                         if pl.version > fresh.0 {
                             fresh = (pl.version, pl.state == Mesi::Modified);
                         } else if pl.state == Mesi::Modified {
@@ -888,13 +857,12 @@ impl Baseline {
                 );
                 self.ctr.writebacks += 1;
                 let set = self.llc.set_index(old_key);
-                if let Some(e) = self.llc.get_mut(set, old_key) {
+                if let Some(e) = self.llc.get_mut(0, set, old_key) {
                     e.version = fresh.0;
                     e.dirty = true;
                     e.owner = None;
                 }
             }
-            let _ = old_line;
         }
     }
 
@@ -903,16 +871,14 @@ impl Baseline {
     /// * inclusion — every private copy has an LLC entry;
     /// * every Modified copy's holder is the directory owner.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (n, node) in self.nodes.iter().enumerate() {
-            let mut arrays: Vec<(&str, &SetAssoc<PrivLine>)> =
-                vec![("l1d", &node.l1d), ("l1i", &node.l1i)];
-            if let Some(l2) = &node.l2 {
-                arrays.push(("l2", l2));
-            }
+        for n in 0..self.cfg.nodes {
+            let arrays = [("l1d", &self.l1d), ("l1i", &self.l1i)]
+                .into_iter()
+                .chain(self.l2.as_ref().map(|l2| ("l2", l2)));
             for (name, arr) in arrays {
-                for (_, _, key, pl) in arr.iter() {
+                for (_, _, key, pl) in arr.iter_bank(n) {
                     let set = self.llc.set_index(key);
-                    let Some(e) = self.llc.peek(set, key) else {
+                    let Some(e) = self.llc.peek(0, set, key) else {
                         return Err(format!(
                             "inclusion violated: node {n} {name} holds {key:#x} absent from LLC"
                         ));

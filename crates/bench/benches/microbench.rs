@@ -6,30 +6,30 @@
 use std::hint::black_box;
 
 use d2m_bench::timing::bench;
-use d2m_cache::SetAssoc;
+use d2m_cache::Banked;
 use d2m_common::addr::{Asid, NodeId, VAddr};
 use d2m_common::{MachineConfig, SimRng};
 use d2m_core::{Li, LiEncoding};
 use d2m_sim::{AnySystem, SystemKind};
 use d2m_workloads::{catalog, Access, AccessKind, TraceGen};
 
-fn bench_set_assoc() {
-    let mut arr: SetAssoc<u64> = SetAssoc::new(512, 8);
+fn bench_banked() {
+    let mut arr: Banked<u64> = Banked::new(1, 512, 8);
     for k in 0..4096u64 {
         let set = arr.set_index(k);
-        let way = arr.victim_way(set);
-        arr.insert_at(set, way, k, k);
+        let way = arr.victim_way(0, set);
+        arr.insert_at(0, set, way, k, k);
     }
     let mut k = 0u64;
-    bench("set_assoc/keyed_lookup_hit", || {
+    bench("banked/keyed_lookup_hit", || {
         k = (k + 1) & 4095;
         let set = arr.set_index(k);
-        black_box(arr.peek(set, k));
+        black_box(arr.peek(0, set, k));
     });
     let mut s = 0usize;
-    bench("set_assoc/victim_way", || {
+    bench("banked/victim_way", || {
         s = (s + 1) & 511;
-        black_box(arr.victim_way(s));
+        black_box(arr.victim_way(0, s));
     });
 }
 
@@ -84,7 +84,7 @@ fn bench_single_access() {
 }
 
 fn main() {
-    bench_set_assoc();
+    bench_banked();
     bench_li();
     bench_rng();
     bench_tracegen();

@@ -1,23 +1,33 @@
 //! A banked set-associative arena: every bank of a replicated structure
 //! (one MD1 per node, one L1 per node, one LLC slice per node, ...) lives
 //! in ONE contiguous allocation, addressed by `(bank, set, way)` arithmetic.
+//! A global structure (a far-side LLC, MD3) is simply a one-bank arena.
 //!
-//! Semantically each bank is an independent [`crate::SetAssoc`]: it has its
-//! own LRU use-tick and the same hashed/plain set indexing, so replacing a
-//! `Vec<SetAssoc<V>>` (or per-node struct fields) with one [`Banked`] arena
-//! is behavior-preserving down to the exact victim choices — simulation
-//! output stays byte-identical. What changes is the memory layout: the hot
-//! path walks a single flat slice instead of chasing `Vec<Vec<...>>`
-//! indirections, mirroring how D2M's own LI scheme keeps metadata lookups
-//! pointer-free in hardware.
+//! Each bank behaves as an independent set-associative array: it has its
+//! own LRU use-tick, so activity in one bank never changes another bank's
+//! victim choices, and an n-bank arena makes exactly the decisions of n
+//! one-bank arenas. The hot path walks a single flat slice instead of
+//! chasing `Vec<Vec<...>>` indirections, mirroring how D2M's own LI scheme
+//! keeps metadata lookups pointer-free in hardware.
+//!
+//! One engine serves three access disciplines:
+//!
+//! * **Tagged caches** (the baselines' L1/L2/LLC, the TLBs) use keyed lookup
+//!   ([`Banked::get`], [`Banked::way_of`]) — the associative tag search
+//!   whose energy the baselines pay.
+//! * **D2M data arrays** use only direct `(bank, set, way)` addressing
+//!   ([`Banked::at`], [`Banked::insert_at`]) — they have no tags, and are
+//!   never searched by key.
+//! * **Metadata stores** use keyed lookup plus *cost-biased* victim
+//!   selection ([`Banked::victim_way_with_cost`]) to implement the paper's
+//!   region-aware replacement (prefer evicting regions with few tracked
+//!   lines / unset PB bits).
 //!
 //! Storage is split structure-of-arrays: the per-slot scan record (key +
 //! recency tick, 16 bytes) lives apart from the value payload, so the
 //! associative scans (`way_of`, victim selection, `is_mru`) stride over a
 //! dense tag array — the software analogue of a hardware tag array sitting
 //! next to a data array — instead of skipping over value bytes.
-
-use d2m_common::rng::SimRng;
 
 /// Per-slot scan record. `last_use == 0` means the slot is empty — ticks
 /// start at 1, so an occupied slot always has a nonzero tick.
@@ -44,8 +54,8 @@ pub struct Banked<V> {
     /// Value payloads, same indexing. `vals[i].is_some()` ⇔
     /// `meta[i].last_use != 0`.
     vals: Vec<Option<V>>,
-    /// One LRU clock per bank — identical tick sequences to per-bank
-    /// `SetAssoc` instances, which is what keeps replacement byte-identical.
+    /// One LRU clock per bank, so banks never perturb each other's
+    /// replacement order.
     ticks: Vec<u64>,
     hashed: bool,
 }
@@ -60,8 +70,9 @@ impl<V> Banked<V> {
         Self::build(banks, sets, ways, false)
     }
 
-    /// Creates an arena whose [`Self::set_index`] XOR-folds the key (the
-    /// skewed indexing used by the metadata stores).
+    /// Creates an arena whose [`Self::set_index`] XOR-folds the key — the
+    /// skewed indexing used by the metadata stores so that regular
+    /// region-stride patterns do not collapse onto a few sets.
     ///
     /// # Panics
     ///
@@ -104,8 +115,7 @@ impl<V> Banked<V> {
     }
 
     /// Set index for a key: low bits, or an XOR-fold of the whole key for
-    /// arenas built with [`Self::with_hashed_index`]. Identical to
-    /// [`crate::SetAssoc::set_index`].
+    /// arenas built with [`Self::with_hashed_index`].
     #[inline]
     pub fn set_index(&self, key: u64) -> usize {
         let k = if self.hashed {
@@ -194,6 +204,9 @@ impl<V> Banked<V> {
 
     /// True if `(bank, set, way)` is the most-recently-used valid entry of
     /// its set.
+    ///
+    /// D2M's replication heuristic replicates data read from the MRU position
+    /// of a remote NS-LLC slice (§IV-C).
     pub fn is_mru(&self, bank: usize, set: usize, way: usize) -> bool {
         let b = self.base(bank, set);
         let me = self.meta[b + way];
@@ -234,7 +247,7 @@ impl<V> Banked<V> {
 
     /// LRU victim way: the first invalid way if any, otherwise the
     /// least-recently-used way. Scans records only — empty slots (tick 0)
-    /// naturally win the minimum.
+    /// naturally win the minimum, and strict `<` keeps the first one.
     pub fn victim_way(&self, bank: usize, set: usize) -> usize {
         let b = self.base(bank, set);
         let mut victim = 0;
@@ -248,19 +261,11 @@ impl<V> Banked<V> {
         victim
     }
 
-    /// Random victim way among valid entries (invalid ways still win first).
-    pub fn victim_way_random(&self, bank: usize, set: usize, rng: &mut SimRng) -> usize {
-        let b = self.base(bank, set);
-        for (w, m) in self.meta[b..b + self.ways].iter().enumerate() {
-            if m.last_use == 0 {
-                return w;
-            }
-        }
-        rng.below(self.ways as u64) as usize
-    }
-
     /// Cost-biased victim: picks the valid way minimizing
     /// `(cost(key, value), last_use)`; invalid ways win outright.
+    ///
+    /// The metadata stores use this to prefer evicting regions with few
+    /// tracked cachelines (MD2, paper §II-A) or no presence bits (MD3).
     pub fn victim_way_with_cost<F>(&self, bank: usize, set: usize, cost: F) -> usize
     where
         F: Fn(u64, &V) -> u64,
@@ -295,47 +300,22 @@ impl<V> Banked<V> {
                 v.as_ref().map(|v| (i / self.ways, i % self.ways, m.key, v))
             })
     }
-
-    /// Iterates over the occupied slots of one `(bank, set)` as
-    /// `(way, key, &value)`.
-    pub fn iter_set(&self, bank: usize, set: usize) -> impl Iterator<Item = (usize, u64, &V)> {
-        let b = self.base(bank, set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .zip(&self.vals[b..b + self.ways])
-            .enumerate()
-            .filter_map(|(w, (m, v))| v.as_ref().map(|v| (w, m.key, v)))
-    }
-
-    /// Number of occupied slots in `(bank, set)`.
-    pub fn set_occupancy(&self, bank: usize, set: usize) -> usize {
-        let b = self.base(bank, set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .filter(|m| m.last_use != 0)
-            .count()
-    }
-
-    /// Total occupied slots across all banks.
-    pub fn occupancy(&self) -> usize {
-        self.meta.iter().filter(|m| m.last_use != 0).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SetAssoc;
+    use d2m_common::rng::SimRng;
 
-    /// The load-bearing property: one `Banked` arena makes exactly the same
-    /// hit/miss/victim decisions as independent per-bank `SetAssoc`s under
-    /// an interleaved access stream.
+    /// The load-bearing property: one n-bank arena makes exactly the same
+    /// hit/miss/victim decisions as n independent one-bank arenas under an
+    /// interleaved access stream.
     #[test]
-    fn banked_matches_independent_set_assocs() {
+    fn banked_matches_independent_one_bank_arenas() {
         let banks = 4;
         let mut arena: Banked<u64> = Banked::with_hashed_index(banks, 8, 2);
-        let mut split: Vec<SetAssoc<u64>> = (0..banks)
-            .map(|_| SetAssoc::with_hashed_index(8, 2))
+        let mut split: Vec<Banked<u64>> = (0..banks)
+            .map(|_| Banked::with_hashed_index(1, 8, 2))
             .collect();
         let mut rng = SimRng::from_label(7, "banked-equiv");
         for i in 0..4000u64 {
@@ -346,25 +326,25 @@ mod tests {
             match rng.below(3) {
                 0 => {
                     let va = arena.victim_way(bank, set);
-                    let vs = split[bank].victim_way(set);
+                    let vs = split[bank].victim_way(0, set);
                     assert_eq!(va, vs, "victim diverged at step {i}");
                     let ea = arena.insert_at(bank, set, va, key, i);
-                    let es = split[bank].insert_at(set, vs, key, i);
+                    let es = split[bank].insert_at(0, set, vs, key, i);
                     assert_eq!(ea, es);
                 }
                 1 => {
                     let wa = arena.way_of(bank, set, key);
-                    let ws = split[bank].way_of(set, key);
+                    let ws = split[bank].way_of(0, set, key);
                     assert_eq!(wa, ws);
                     if let Some(w) = wa {
                         arena.touch(bank, set, w);
-                        split[bank].touch(set, w);
-                        assert_eq!(arena.is_mru(bank, set, w), split[bank].is_mru(set, w));
+                        split[bank].touch(0, set, w);
+                        assert_eq!(arena.is_mru(bank, set, w), split[bank].is_mru(0, set, w));
                     }
                 }
                 _ => {
                     let va = arena.victim_way_with_cost(bank, set, |_, v| *v % 5);
-                    let vs = split[bank].victim_way_with_cost(set, |_, v| *v % 5);
+                    let vs = split[bank].victim_way_with_cost(0, set, |_, v| *v % 5);
                     assert_eq!(va, vs, "cost victim diverged at step {i}");
                 }
             }
@@ -374,7 +354,10 @@ mod tests {
                 .iter_bank(bank)
                 .map(|(s, w, k, v)| (s, w, k, *v))
                 .collect();
-            let s: Vec<_> = reference.iter().map(|(s, w, k, v)| (s, w, k, *v)).collect();
+            let s: Vec<_> = reference
+                .iter_bank(0)
+                .map(|(s, w, k, v)| (s, w, k, *v))
+                .collect();
             assert_eq!(a, s);
         }
     }
@@ -394,6 +377,17 @@ mod tests {
     }
 
     #[test]
+    fn insert_then_get() {
+        let mut c: Banked<u64> = Banked::new(1, 4, 2);
+        let set = c.set_index(5);
+        let way = c.victim_way(0, set);
+        assert!(c.insert_at(0, set, way, 5, 50).is_none());
+        assert_eq!(c.get(0, set, 5), Some(&50));
+        assert_eq!(c.peek(0, set, 5), Some(&50));
+        assert_eq!(c.get(0, set, 9), None);
+    }
+
+    #[test]
     fn insert_get_remove_roundtrip() {
         let mut c: Banked<&'static str> = Banked::new(2, 2, 2);
         c.insert_at(1, 1, 1, 42, "hello");
@@ -404,7 +398,79 @@ mod tests {
         assert_eq!(c.get(1, 1, 42), Some(&"hello"));
         *c.get_mut(1, 1, 42).unwrap() = "world";
         assert_eq!(c.remove(1, 1, 1), Some((42, "world")));
-        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.at(1, 1, 1), None);
+        assert_eq!(c.remove(1, 1, 1), None, "an empty slot removes nothing");
+    }
+
+    #[test]
+    fn direct_addressing_roundtrip() {
+        let mut c: Banked<&'static str> = Banked::new(1, 2, 2);
+        c.insert_at(0, 1, 1, 42, "hello");
+        let (k, v) = c.at_mut(0, 1, 1).unwrap();
+        assert_eq!(k, 42);
+        *v = "world";
+        assert_eq!(c.at(0, 1, 1), Some((42, &"world")));
+        assert!(c.at_mut(0, 1, 0).is_none());
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used() {
+        let mut c: Banked<u64> = Banked::new(1, 1, 2);
+        c.insert_at(0, 0, 0, 1, 1);
+        c.insert_at(0, 0, 1, 2, 2);
+        let _ = c.get(0, 0, 1); // key 1 becomes MRU, so key 2 (way 1) is LRU
+        assert_eq!(c.victim_way(0, 0), 1);
+        let _ = c.get(0, 0, 2);
+        assert_eq!(c.victim_way(0, 0), 0);
+    }
+
+    #[test]
+    fn invalid_way_preferred_as_victim() {
+        let mut c: Banked<u64> = Banked::new(1, 1, 4);
+        c.insert_at(0, 0, 0, 1, 1);
+        c.insert_at(0, 0, 2, 3, 3);
+        assert_eq!(c.victim_way(0, 0), 1);
+        assert_eq!(c.victim_way_with_cost(0, 0, |_, _| 0), 1);
+    }
+
+    #[test]
+    fn cost_biased_victim_prefers_low_cost() {
+        let mut c: Banked<u64> = Banked::new(1, 1, 3);
+        c.insert_at(0, 0, 0, 1, 100); // high cost
+        c.insert_at(0, 0, 1, 2, 1); // low cost
+        c.insert_at(0, 0, 2, 3, 100);
+        assert_eq!(c.victim_way_with_cost(0, 0, |_, v| *v), 1);
+    }
+
+    #[test]
+    fn cost_tie_broken_by_lru() {
+        let mut c: Banked<u64> = Banked::new(1, 1, 2);
+        c.insert_at(0, 0, 0, 1, 5);
+        c.insert_at(0, 0, 1, 2, 5);
+        c.touch(0, 0, 0); // way 1 becomes LRU
+        assert_eq!(c.victim_way_with_cost(0, 0, |_, v| *v), 1);
+    }
+
+    #[test]
+    fn mru_tracking() {
+        let mut c: Banked<u64> = Banked::new(1, 1, 3);
+        c.insert_at(0, 0, 0, 1, 1);
+        c.insert_at(0, 0, 1, 2, 2);
+        assert!(c.is_mru(0, 0, 1));
+        assert!(!c.is_mru(0, 0, 0));
+        c.touch(0, 0, 0);
+        assert!(c.is_mru(0, 0, 0));
+        assert!(!c.is_mru(0, 0, 2), "an empty slot is never MRU");
+    }
+
+    #[test]
+    fn eviction_returns_old_entry() {
+        let mut c: Banked<u64> = Banked::new(1, 1, 1);
+        c.insert_at(0, 0, 0, 1, 10);
+        let old = c.insert_at(0, 0, 0, 2, 20);
+        assert_eq!(old, Some((1, 10)));
+        assert_eq!(c.peek(0, 0, 2), Some(&20));
+        assert_eq!(c.peek(0, 0, 1), None);
     }
 
     #[test]
@@ -420,29 +486,20 @@ mod tests {
     }
 
     #[test]
-    fn iter_set_and_occupancy_scope_to_bank() {
-        let mut c: Banked<u64> = Banked::new(3, 2, 2);
-        c.insert_at(2, 0, 0, 1, 10);
-        c.insert_at(2, 0, 1, 2, 20);
-        c.insert_at(0, 0, 0, 3, 30);
-        assert_eq!(c.set_occupancy(2, 0), 2);
-        assert_eq!(c.set_occupancy(1, 0), 0);
-        assert_eq!(c.iter_set(2, 0).count(), 2);
-        assert_eq!(c.iter_bank(2).count(), 2);
-        assert_eq!(c.occupancy(), 3);
-    }
-
-    #[test]
-    fn random_victim_prefers_invalid_ways() {
-        let mut rng = SimRng::from_label(1, "banked-victim");
-        let mut c: Banked<u64> = Banked::new(1, 1, 4);
-        c.insert_at(0, 0, 0, 1, 1);
-        assert_eq!(c.victim_way_random(0, 0, &mut rng), 1);
-        for w in 1..4 {
-            c.insert_at(0, 0, w, w as u64 + 1, 0);
+    fn iter_bank_scopes_to_bank_and_reports_home_sets() {
+        let mut c: Banked<u64> = Banked::new(3, 4, 2);
+        for k in 0..8u64 {
+            let set = c.set_index(k);
+            let way = c.victim_way(2, set);
+            c.insert_at(2, set, way, k, k * 10);
         }
-        for _ in 0..50 {
-            assert!(c.victim_way_random(0, 0, &mut rng) < 4);
+        c.insert_at(0, 0, 0, 3, 30);
+        assert_eq!(c.iter_bank(2).count(), 8);
+        assert_eq!(c.iter_bank(1).count(), 0);
+        assert_eq!(c.iter_bank(0).count(), 1);
+        for (set, way, key, v) in c.iter_bank(2) {
+            assert_eq!(c.set_index(key), set);
+            assert_eq!(c.at(2, set, way), Some((key, v)));
         }
     }
 
@@ -451,5 +508,35 @@ mod tests {
     fn at_rejects_out_of_range_way() {
         let c: Banked<u64> = Banked::new(1, 2, 2);
         let _ = c.at(0, 0, 2);
+    }
+
+    #[test]
+    fn hashed_indexing_spreads_regular_strides() {
+        // Keys a power-of-two stride apart collapse onto one set with plain
+        // indexing but must fan out with the hashed variant.
+        let plain: Banked<u64> = Banked::new(1, 64, 4);
+        let hashed: Banked<u64> = Banked::with_hashed_index(1, 64, 4);
+        let keys: Vec<u64> = (0..256).map(|i| i * 64).collect();
+        let plain_sets: std::collections::HashSet<_> =
+            keys.iter().map(|k| plain.set_index(*k)).collect();
+        let hashed_sets: std::collections::HashSet<_> =
+            keys.iter().map(|k| hashed.set_index(*k)).collect();
+        assert_eq!(plain_sets.len(), 1, "plain indexing collapses the stride");
+        assert!(
+            hashed_sets.len() >= 8,
+            "hashed indexing spreads it: {}",
+            hashed_sets.len()
+        );
+    }
+
+    #[test]
+    fn hashed_indexing_is_consistent_for_lookup() {
+        let mut c: Banked<u64> = Banked::with_hashed_index(1, 64, 4);
+        for k in [3u64, 999, 123_456_789] {
+            let set = c.set_index(k);
+            let way = c.victim_way(0, set);
+            c.insert_at(0, set, way, k, k * 2);
+            assert_eq!(c.peek(0, c.set_index(k), k), Some(&(k * 2)));
+        }
     }
 }

@@ -8,23 +8,20 @@
 
 use d2m_common::addr::{translate, Asid, PAddr, VAddr};
 
-use crate::set_assoc::SetAssoc;
+use crate::banked::Banked;
 
-/// Small set-associative TLB keyed by `(asid, virtual page)`.
+/// Per-node set-associative TLBs keyed by `(asid, virtual page)`: one bank
+/// per node, each with its own entries and LRU order.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    arr: SetAssoc<()>,
-    hits: u64,
-    misses: u64,
+    arr: Banked<()>,
 }
 
 impl Tlb {
-    /// Creates a TLB with the given geometry.
-    pub fn new(sets: usize, ways: usize) -> Self {
+    /// Creates `banks` TLBs of the given geometry.
+    pub fn new(banks: usize, sets: usize, ways: usize) -> Self {
         Self {
-            arr: SetAssoc::new(sets, ways),
-            hits: 0,
-            misses: 0,
+            arr: Banked::new(banks, sets, ways),
         }
     }
 
@@ -32,42 +29,18 @@ impl Tlb {
         (va.vpage() << 16) ^ asid.0 as u64
     }
 
-    /// Translates `va`, recording a hit or a miss (with fill).
+    /// Translates `va` through TLB `bank`, filling the entry on a miss.
     ///
     /// Returns `(paddr, hit)`.
-    pub fn access(&mut self, asid: Asid, va: VAddr) -> (PAddr, bool) {
+    pub fn access(&mut self, bank: usize, asid: Asid, va: VAddr) -> (PAddr, bool) {
         let key = Self::key(asid, va);
         let set = self.arr.set_index(key);
-        let hit = self.arr.get(set, key).is_some();
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            let way = self.arr.victim_way(set);
-            self.arr.insert_at(set, way, key, ());
+        let hit = self.arr.get(bank, set, key).is_some();
+        if !hit {
+            let way = self.arr.victim_way(bank, set);
+            self.arr.insert_at(bank, set, way, key, ());
         }
         (translate(asid, va), hit)
-    }
-
-    /// Translation without touching the TLB state (for metadata paths that
-    /// bypass the TLB entirely).
-    pub fn translate_only(asid: Asid, va: VAddr) -> PAddr {
-        translate(asid, va)
-    }
-
-    /// Hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Accesses recorded so far.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
     }
 }
 
@@ -77,42 +50,45 @@ mod tests {
 
     #[test]
     fn first_access_misses_second_hits() {
-        let mut tlb = Tlb::new(16, 4);
+        let mut tlb = Tlb::new(1, 16, 4);
         let va = VAddr::new(0x1234_5000);
-        let (p1, h1) = tlb.access(Asid(0), va);
+        let (p1, h1) = tlb.access(0, Asid(0), va);
         assert!(!h1);
-        let (p2, h2) = tlb.access(Asid(0), VAddr::new(0x1234_5040));
+        let (p2, h2) = tlb.access(0, Asid(0), VAddr::new(0x1234_5040));
         assert!(h2, "same page must hit");
         assert_eq!(p1.raw() >> 12, p2.raw() >> 12);
-        assert_eq!(tlb.hits(), 1);
-        assert_eq!(tlb.misses(), 1);
+        assert_eq!(p1, translate(Asid(0), va));
     }
 
     #[test]
     fn distinct_asids_do_not_alias() {
-        let mut tlb = Tlb::new(16, 4);
+        let mut tlb = Tlb::new(1, 16, 4);
         let va = VAddr::new(0x9000);
-        let _ = tlb.access(Asid(1), va);
-        let (_, h) = tlb.access(Asid(2), va);
+        let _ = tlb.access(0, Asid(1), va);
+        let (_, h) = tlb.access(0, Asid(2), va);
         assert!(!h, "different ASID must miss");
     }
 
     #[test]
-    fn capacity_misses_occur() {
-        let mut tlb = Tlb::new(1, 2);
-        for page in 0..4u64 {
-            let _ = tlb.access(Asid(0), VAddr::new(page << 12));
-        }
-        // Revisit the first page: evicted by now.
-        let (_, h) = tlb.access(Asid(0), VAddr::new(0));
-        assert!(!h);
+    fn banks_do_not_share_entries() {
+        // One entry per bank: a shared array would let bank 1 hit on bank
+        // 0's entry, or let bank 1's fill evict it.
+        let mut tlb = Tlb::new(2, 1, 1);
+        let (a, b) = (VAddr::new(0x7000), VAddr::new(0x8000));
+        assert!(!tlb.access(0, Asid(0), a).1);
+        assert!(!tlb.access(1, Asid(0), a).1, "bank 1 hit on bank 0's entry");
+        assert!(!tlb.access(1, Asid(0), b).1);
+        assert!(tlb.access(0, Asid(0), a).1, "bank 1's fill evicted bank 0");
     }
 
     #[test]
-    fn translate_only_matches_access() {
-        let mut tlb = Tlb::new(4, 2);
-        let va = VAddr::new(0xabc_d123);
-        let (p, _) = tlb.access(Asid(5), va);
-        assert_eq!(p, Tlb::translate_only(Asid(5), va));
+    fn capacity_misses_occur() {
+        let mut tlb = Tlb::new(1, 1, 2);
+        for page in 0..4u64 {
+            let _ = tlb.access(0, Asid(0), VAddr::new(page << 12));
+        }
+        // Revisit the first page: evicted by now.
+        let (_, h) = tlb.access(0, Asid(0), VAddr::new(0));
+        assert!(!h);
     }
 }

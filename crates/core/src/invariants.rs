@@ -66,7 +66,7 @@ impl D2mSystem {
                 let mut referenced = false;
                 if let Some(e3) = self
                     .md3
-                    .peek(self.md3.set_index(region.raw()), region.raw())
+                    .peek(0, self.md3.set_index(region.raw()), region.raw())
                 {
                     if e3.li.get(off, self.enc) == me {
                         referenced = true;
@@ -117,7 +117,7 @@ impl D2mSystem {
         for n in 0..self.nodes_count() {
             for (_, _, key, _) in self.md2.iter_bank(n) {
                 let set3 = self.md3.set_index(key);
-                let Some(e3) = self.md3.peek(set3, key) else {
+                let Some(e3) = self.md3.peek(0, set3, key) else {
                     return Err(format!("MD2 region {key:#x} at node {n} missing from MD3"));
                 };
                 if e3.pb & (1 << n) == 0 {
@@ -127,7 +127,7 @@ impl D2mSystem {
                 }
             }
         }
-        for (_, _, key, e3) in self.md3.iter() {
+        for (_, _, key, e3) in self.md3.iter_bank(0) {
             for n in 0..self.nodes_count() {
                 if e3.pb & (1 << n) != 0 && self.md2.peek(n, self.md2.set_index(key), key).is_none()
                 {
@@ -283,7 +283,7 @@ impl D2mSystem {
     }
 
     fn check_md3_li_determinism(&self) -> Result<(), String> {
-        for (_, _, key, e3) in self.md3.iter() {
+        for (_, _, key, e3) in self.md3.iter_bank(0) {
             let region = RegionAddr::new(key);
             let valid = e3.li.count_valid() as usize;
             if valid > 0 && valid < LINES_PER_REGION {
@@ -388,7 +388,7 @@ impl D2mSystem {
                 let region = LineAddr::new(key).region();
                 if self
                     .md3
-                    .peek(self.md3.set_index(region.raw()), region.raw())
+                    .peek(0, self.md3.set_index(region.raw()), region.raw())
                     .is_none()
                 {
                     return Err(format!(

@@ -42,7 +42,7 @@ pub fn classify_pb(pb: u8) -> RegionClass {
     }
 }
 
-/// One MD1 entry: virtually tagged (the SetAssoc key is the virtual region),
+/// One MD1 entry: virtually tagged (the arena key is the virtual region),
 /// carrying the physical region (replacing the TLB translation) and the
 /// active LI array while resident.
 #[derive(Clone, Copy, Debug)]
@@ -76,7 +76,7 @@ pub struct TrackingPtr {
     pub way: u8,
 }
 
-/// One MD2 entry: physically tagged (SetAssoc key is the physical region).
+/// One MD2 entry: physically tagged (the arena key is the physical region).
 #[derive(Clone, Copy, Debug)]
 pub struct Md2Entry {
     /// Region private bit (P).

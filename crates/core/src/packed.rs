@@ -343,9 +343,9 @@ mod tests {
         lis
     }
 
-    /// Satellite requirement: a seeded randomized mutation/query sequence
-    /// driven in lockstep against a reference `[Li; 16]`, same pattern as
-    /// the `Banked` vs `SetAssoc` equivalence test from the arena PR.
+    /// A seeded randomized mutation/query sequence driven in lockstep
+    /// against a reference `[Li; 16]`, the same pattern as `Banked`'s
+    /// n-bank vs one-bank equivalence test.
     #[test]
     fn randomized_equivalence_with_enum_array() {
         for enc in ENCODINGS {

@@ -287,7 +287,7 @@ impl D2mSystem {
         // MD1 miss: TLB2 translation + MD2 lookup.
         let mut lat = self.cfg.lat.tlb2 + self.cfg.lat.md2;
         self.energy.record(EnergyEvent::Tlb, 1);
-        let (paddr, tlb_hit) = self.tlb2[node].access(a.asid, a.vaddr);
+        let (paddr, tlb_hit) = self.tlb2.access(node, a.asid, a.vaddr);
         if !tlb_hit {
             lat += self.cfg.lat.tlb_walk;
         }
@@ -322,7 +322,7 @@ impl D2mSystem {
     ) -> Result<(MdRef, RegionAddr, bool, u64), ProtocolError> {
         self.energy.record(EnergyEvent::Tlb, 1);
         self.energy.record(EnergyEvent::L1TagWay, 1);
-        let (paddr, tlb_hit) = self.tlb2[node].access(a.asid, a.vaddr);
+        let (paddr, tlb_hit) = self.tlb2.access(node, a.asid, a.vaddr);
         let mut lat = 0;
         if !tlb_hit {
             lat += self.cfg.lat.tlb_walk;
@@ -503,18 +503,22 @@ impl D2mSystem {
         self.lockbits.acquire(region);
 
         let set3 = self.md3.set_index(region.raw());
-        let (private, li) = if let Some(way3) = self.md3.way_of(set3, region.raw()) {
-            let entry = *self.md3.at(set3, way3).map(|(_, e)| e).expect("occupied");
-            self.md3.touch(set3, way3);
+        let (private, li) = if let Some(way3) = self.md3.way_of(0, set3, region.raw()) {
+            let entry = *self
+                .md3
+                .at(0, set3, way3)
+                .map(|(_, e)| e)
+                .expect("occupied");
+            self.md3.touch(0, set3, way3);
             match entry.class() {
                 RegionClass::Untracked => {
                     // D1: untracked → private. MD3's LIs move to the new
                     // owner; MD3 stops tracking locations.
                     self.ev.d1_untracked_to_private += 1;
-                    let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+                    let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
                     e3.pb = 1 << node;
                     let li = entry.li;
-                    let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+                    let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
                     e3.li = PackedLiArray::INVALID;
                     (true, li)
                 }
@@ -526,7 +530,7 @@ impl D2mSystem {
                     // remaining tracker's view would orphan LLC masters it
                     // never learned about.
                     self.ev.d3_shared_to_shared += 1;
-                    let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+                    let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
                     e3.pb |= 1 << node;
                     (false, entry.li)
                 }
@@ -549,7 +553,7 @@ impl D2mSystem {
                         Endpoint::FarSide,
                     );
                     self.clear_private(owner, region);
-                    let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+                    let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
                     e3.li = converted;
                     e3.pb |= 1 << node;
                     (false, converted)
@@ -557,7 +561,7 @@ impl D2mSystem {
                 RegionClass::Shared => {
                     // D3: shared → shared.
                     self.ev.d3_shared_to_shared += 1;
-                    let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+                    let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
                     e3.pb |= 1 << node;
                     (false, entry.li)
                 }
@@ -570,13 +574,14 @@ impl D2mSystem {
         } else {
             // D4: uncached → private. Allocate an MD3 entry.
             self.ev.d4_uncached_to_private += 1;
-            let way3 = self.md3.victim_way_with_cost(set3, |_, e: &Md3Entry| {
+            let way3 = self.md3.victim_way_with_cost(0, set3, |_, e: &Md3Entry| {
                 u64::from(e.pb.count_ones()) * 64 + e.llc_resident_lines()
             });
-            if self.md3.at(set3, way3).is_some() {
+            if self.md3.at(0, set3, way3).is_some() {
                 self.evict_md3_entry(set3, way3)?;
             }
             self.md3.insert_at(
+                0,
                 set3,
                 way3,
                 region.raw(),
@@ -893,10 +898,10 @@ impl D2mSystem {
 
         // Far-side MD3 peek (no separate transaction; same trip).
         let set3 = self.md3.set_index(region.raw());
-        if let Some(way3) = self.md3.way_of(set3, region.raw()) {
+        if let Some(way3) = self.md3.way_of(0, set3, region.raw()) {
             let tracked = self
                 .md3
-                .at(set3, way3)
+                .at(0, set3, way3)
                 .map(|(_, e)| e.li.get(off, self.enc))
                 .expect("occupied");
             if tracked.is_llc() {
@@ -947,9 +952,9 @@ impl D2mSystem {
         // Record the new master in MD3 unless the region is private there
         // (Invalid LIs: the owner's MD2 is authoritative and gets the slot
         // via the L1 replica's RP).
-        if let Some(way3) = self.md3.way_of(set3, region.raw()) {
+        if let Some(way3) = self.md3.way_of(0, set3, region.raw()) {
             let enc = self.enc;
-            let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+            let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
             if e3.li.is_valid(off) {
                 e3.li.set(off, slot_li, enc);
             }
@@ -1160,9 +1165,13 @@ impl D2mSystem {
         let set3 = self.md3.set_index(region.raw());
         let way3 = self
             .md3
-            .way_of(set3, region.raw())
+            .way_of(0, set3, region.raw())
             .expect("metadata inclusion: writer's MD2 entry implies an MD3 entry");
-        let entry = *self.md3.at(set3, way3).map(|(_, e)| e).expect("occupied");
+        let entry = *self
+            .md3
+            .at(0, set3, way3)
+            .map(|(_, e)| e)
+            .expect("occupied");
 
         // --- demote the old master & fetch the data ---
         let old = entry.li.get(off, self.enc);
@@ -1293,7 +1302,7 @@ impl D2mSystem {
         lat += inv_lat;
 
         let enc = self.enc;
-        let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+        let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
         e3.li.set(off, Li::Node(NodeId::new(node as u8)), enc);
         self.noc.send(MsgClass::Done, me, Endpoint::FarSide);
 
@@ -1948,8 +1957,8 @@ impl D2mSystem {
             );
             self.energy.record(EnergyEvent::Md3, 1);
             let set3 = self.md3.set_index(region.raw());
-            if let Some(way3) = self.md3.way_of(set3, region.raw()) {
-                let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+            if let Some(way3) = self.md3.way_of(0, set3, region.raw()) {
+                let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
                 e3.pb &= !(1 << node);
                 // If we were the private owner, MD3's LIs were invalid: our
                 // final LIs (all global now) re-seed them.
@@ -1973,7 +1982,7 @@ impl D2mSystem {
         set3: usize,
         way3: usize,
     ) -> Result<(), ProtocolError> {
-        let Some((key, entry)) = self.md3.at(set3, way3).map(|(k, e)| (k, *e)) else {
+        let Some((key, entry)) = self.md3.at(0, set3, way3).map(|(k, e)| (k, *e)) else {
             return Ok(());
         };
         let region = RegionAddr::new(key);
@@ -2012,7 +2021,7 @@ impl D2mSystem {
                 }
             }
         }
-        self.md3.remove(set3, way3);
+        self.md3.remove(0, set3, way3);
         Ok(())
     }
 

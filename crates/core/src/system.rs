@@ -6,17 +6,16 @@
 //!
 //! # Storage layout
 //!
-//! Every per-node structure (the MD1s, the L1 arrays, the MD2s, the LLC
-//! slices) is stored as ONE contiguous [`Banked`] arena with one bank per
-//! node/slice, addressed by `(bank, set, way)` arithmetic — there is no
-//! per-node struct and no `Vec<Vec<...>>` nesting on the transaction hot
-//! path. Each bank keeps its own LRU clock, so the arena makes exactly the
-//! same replacement decisions as independent per-node arrays (simulation
-//! output is byte-identical to the previous layout). MD3 is a single global
-//! structure and stays a flat [`SetAssoc`] (itself one contiguous arena).
+//! Every per-node structure (the MD1s, the TLB2s, the L1 arrays, the MD2s,
+//! the LLC slices) is stored as ONE contiguous [`Banked`] arena with one
+//! bank per node/slice, addressed by `(bank, set, way)` arithmetic — there
+//! is no per-node struct and no `Vec<Vec<...>>` nesting on the transaction
+//! hot path. Each bank keeps its own LRU clock, so the arena makes exactly
+//! the same replacement decisions as independent per-node arrays. The
+//! global structures (MD3, the far-side LLC) are one-bank arenas.
 
 use d2m_cache::scramble::{region_scramble, scrambled_index};
-use d2m_cache::{Banked, SetAssoc, Tlb};
+use d2m_cache::{Banked, Tlb};
 use d2m_common::addr::{LineAddr, NodeId, RegionAddr};
 use d2m_common::config::MachineConfig;
 use d2m_common::oracle::VersionOracle;
@@ -142,7 +141,8 @@ pub struct D2mSystem {
     pub(crate) md1d: Banked<Md1Entry>,
     /// MD2s: one bank per node.
     pub(crate) md2: Banked<Md2Entry>,
-    pub(crate) tlb2: Vec<Tlb>,
+    /// TLB2s: one bank per node.
+    pub(crate) tlb2: Tlb,
     /// L1 instruction data arrays: one bank per node.
     pub(crate) l1i: Banked<DataLine>,
     /// L1 data arrays: one bank per node.
@@ -152,7 +152,8 @@ pub struct D2mSystem {
     /// LLC data arrays: a single bank (index 0) for far-side, one bank per
     /// node for near-side.
     pub(crate) llc: Banked<DataLine>,
-    pub(crate) md3: SetAssoc<Md3Entry>,
+    /// MD3: a single bank (index 0).
+    pub(crate) md3: Banked<Md3Entry>,
     pub(crate) lockbits: LockBits,
     pub(crate) noc: Noc,
     pub(crate) energy: EnergyAccount,
@@ -218,16 +219,14 @@ impl D2mSystem {
             md1i: Banked::with_hashed_index(n, cfg.md1.sets, cfg.md1.ways),
             md1d: Banked::with_hashed_index(n, cfg.md1.sets, cfg.md1.ways),
             md2: Banked::with_hashed_index(n, cfg.md2.sets, cfg.md2.ways),
-            tlb2: (0..n)
-                .map(|_| Tlb::new(cfg.tlb.sets, cfg.tlb.ways))
-                .collect(),
+            tlb2: Tlb::new(n, cfg.tlb.sets, cfg.tlb.ways),
             l1i: Banked::new(n, cfg.l1i.sets, cfg.l1i.ways),
             l1d: Banked::new(n, cfg.l1d.sets, cfg.l1d.ways),
             l2: feats
                 .private_l2
                 .then(|| Banked::new(n, cfg.l2.sets, cfg.l2.ways)),
             llc,
-            md3: SetAssoc::with_hashed_index(cfg.md3.sets, cfg.md3.ways),
+            md3: Banked::with_hashed_index(1, cfg.md3.sets, cfg.md3.ways),
             lockbits: LockBits::new(cfg.md3_lock_bits, 8),
             noc: Noc::new(cfg.lat.noc),
             energy: EnergyAccount::new(EnergyModel::default()),
@@ -615,8 +614,8 @@ impl D2mSystem {
         let mut md3_fixed = false;
         let enc = self.enc;
         let set3 = self.md3.set_index(region.raw());
-        if let Some(way3) = self.md3.way_of(set3, region.raw()) {
-            let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+        if let Some(way3) = self.md3.way_of(0, set3, region.raw()) {
+            let (_, e3) = self.md3.at_mut(0, set3, way3).expect("occupied");
             if e3.li.get(off, enc) == from {
                 e3.li.set(off, to, enc);
                 md3_fixed = true;

@@ -19,11 +19,15 @@ fn rc() -> RunConfig {
 fn all_systems_stay_coherent_on_a_shared_workload() {
     let mut cfg = MachineConfig::default();
     cfg.check_coherence = true;
-    let spec = catalog::by_name("fluidanimate").unwrap();
-    for kind in SystemKind::ALL {
-        // run_one asserts coherence_errors == 0 internally.
-        let m = run_one(kind, &cfg, &spec, &rc());
-        assert!(m.cycles > 0, "{}", kind.name());
+    // dedup makes a Base-3L owner downgrade a line whose inclusive L2 copy
+    // is older than its L1 copy; a later L1 miss must not read that L2 copy.
+    for name in ["fluidanimate", "dedup"] {
+        let spec = catalog::by_name(name).unwrap();
+        for kind in SystemKind::ALL {
+            // run_one asserts coherence_errors == 0 internally.
+            let m = run_one(kind, &cfg, &spec, &rc());
+            assert!(m.cycles > 0, "{name}/{}", kind.name());
+        }
     }
 }
 

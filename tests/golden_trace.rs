@@ -3,8 +3,7 @@
 //! Each golden case is a small canned `D2MT` trace committed under
 //! `tests/golden/` together with a JSON snapshot of the full counter state
 //! (cache hits/misses, NoC message classes, DRAM traffic, …) produced by
-//! driving the baseline (`Base-2L`) and the full D2M system (`D2M-NS-R`)
-//! over it. Any change to hit/miss accounting, the coherence protocol, or
+//! driving each of the five systems over it. Any change to hit/miss accounting, the coherence protocol, or
 //! message generation shows up as a counter diff against the snapshot.
 //!
 //! To regenerate the fixtures after an *intentional* behavioural change:
@@ -33,8 +32,9 @@ const CASES: [(&str, &str, u64, usize); 3] = [
     ("tpc-c", "tpc-c", 37, 40),
 ];
 
-/// Systems snapshotted per trace: the mobile baseline and the full D2M.
-const SYSTEMS: [SystemKind; 2] = [SystemKind::Base2L, SystemKind::D2mNsR];
+/// Systems snapshotted per trace: all five, so every cache-array path
+/// (private L2, far-side LLC, MD3, both TLBs) is pinned.
+const SYSTEMS: [SystemKind; 5] = SystemKind::ALL;
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
